@@ -11,6 +11,7 @@ from repro.api import EngineConfig, build_adaptive_engine
 from repro.core.acaching import ACachingConfig
 from repro.core.profiler import ProfilerConfig
 from repro.core.reoptimizer import ReoptimizerConfig
+from repro.engine.driver import Driver
 from repro.ordering.agreedy import OrderingConfig
 from repro.streams.workloads import fig12_workload
 
@@ -32,7 +33,7 @@ def run(incremental: bool, arrivals: int):
         incremental_reoptimizer=incremental,
     )
     engine = build_adaptive_engine(workload, EngineConfig(tuning=config))
-    engine.run(workload.updates(arrivals))
+    Driver(engine).run(workload.updates(arrivals))
     ctx = engine.ctx
     result = {
         "throughput": ctx.metrics.throughput(ctx.clock.now_seconds),

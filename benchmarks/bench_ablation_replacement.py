@@ -8,6 +8,7 @@ replacement churn when the store is deliberately undersized.
 
 from repro.api import EngineConfig, build_static_plan
 from repro.caching.store import LRUStore
+from repro.engine.driver import Driver
 from repro.streams.workloads import fig6_workload
 
 CHAIN_ORDERS = {"T": ("S", "R"), "R": ("S", "T"), "S": ("R", "T")}
@@ -26,7 +27,7 @@ def run_with_store(store_factory, arrivals=8000, buckets=48):
     cache = plan.wiring.wired["T:0-1p"].cache
     if store_factory is not None:
         cache.store = store_factory(buckets)
-    plan.run(workload.updates(arrivals))
+    Driver(plan).run(workload.updates(arrivals))
     ctx = plan.ctx
     return {
         "throughput": ctx.metrics.throughput(ctx.clock.now_seconds),

@@ -10,6 +10,7 @@ from repro.api import EngineConfig, build_adaptive_engine
 from repro.core.acaching import ACachingConfig
 from repro.core.profiler import ProfilerConfig
 from repro.core.reoptimizer import ReoptimizerConfig
+from repro.engine.driver import Driver
 from repro.ordering.agreedy import OrderingConfig
 from repro.streams.workloads import fig6_workload
 
@@ -28,7 +29,7 @@ def run_with_threshold(p, arrivals):
         ordering=OrderingConfig(interval_updates=10**9),
     )
     engine = build_adaptive_engine(workload, EngineConfig(tuning=config))
-    engine.run(workload.updates(arrivals))
+    Driver(engine).run(workload.updates(arrivals))
     ctx = engine.ctx
     return {
         "throughput": ctx.metrics.throughput(ctx.clock.now_seconds),

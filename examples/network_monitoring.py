@@ -18,12 +18,13 @@ Run:  python examples/network_monitoring.py
 import random
 
 from repro import (
-    ACaching,
     ACachingConfig,
+    EngineConfig,
     JoinGraph,
     ProfilerConfig,
     ReoptimizerConfig,
     Schema,
+    Session,
     Sign,
     Workload,
 )
@@ -75,17 +76,15 @@ def build_workload(burst_after: int) -> Workload:
 def main() -> None:
     total, burst_after = 40_000, 20_000
     workload = build_workload(burst_after)
-    engine = ACaching.for_workload(
-        workload,
-        ACachingConfig(
-            profiler=ProfilerConfig(window=5, bloom_window_tuples=256),
-            reoptimizer=ReoptimizerConfig(
-                reopt_interval_updates=3000, profiling_phase_updates=500,
-                global_quota=6,
-            ),
-            ordering=OrderingConfig(interval_updates=1500),
+    tuning = ACachingConfig(
+        profiler=ProfilerConfig(window=5, bloom_window_tuples=256),
+        reoptimizer=ReoptimizerConfig(
+            reopt_interval_updates=3000, profiling_phase_updates=500,
+            global_quota=6,
         ),
+        ordering=OrderingConfig(interval_updates=1500),
     )
+    engine = Session.adaptive(workload, EngineConfig(tuning=tuning)).plan
 
     correlations = 0
     samples = []

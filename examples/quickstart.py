@@ -8,12 +8,14 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
-    ACaching,
     ACachingConfig,
+    EngineConfig,
     MJoinExecutor,
     ProfilerConfig,
     ReoptimizerConfig,
+    Session,
     Sign,
+    drive,
     three_way_chain,
 )
 
@@ -34,14 +36,11 @@ def main() -> None:
             reopt_interval_updates=5000, profiling_phase_updates=400
         ),
     )
-    engine = ACaching.for_workload(workload, config)
-    inserted = deleted = 0
-    for update in workload.updates(30_000):
-        for delta in engine.process(update):
-            if delta.sign is Sign.INSERT:
-                inserted += 1
-            else:
-                deleted += 1
+    session = Session.adaptive(workload, EngineConfig(tuning=config))
+    deltas = session.run(arrivals=30_000)
+    inserted = sum(1 for delta in deltas if delta.sign is Sign.INSERT)
+    deleted = len(deltas) - inserted
+    engine = session.plan
 
     print("Adaptive A-Caching run")
     print(f"  updates processed : {engine.ctx.metrics.updates_processed:,}")
@@ -56,7 +55,7 @@ def main() -> None:
         t_multiplicity=5.0, window_r=96, window_s=96
     )
     baseline = MJoinExecutor(baseline_workload.graph)
-    baseline.run(baseline_workload.updates(30_000))
+    drive(baseline, baseline_workload.updates(30_000))
     rate = baseline.ctx.metrics.throughput(baseline.ctx.clock.now_seconds)
     print("\nCache-free MJoin baseline")
     print(f"  throughput        : {rate:,.0f} tuples/sec")

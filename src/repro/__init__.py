@@ -58,6 +58,7 @@ from repro.core.reoptimizer import CandidateState, Reoptimizer, ReoptimizerConfi
 from repro.core.selection import SelectionProblem, select
 from repro.core.wiring import CacheWiring
 from repro.engine.clock import CostModel, VirtualClock, WallClock
+from repro.engine.driver import Driver, drive
 from repro.engine.metrics import Metrics
 from repro.engine.reporting import (
     rows_to_csv,
@@ -68,7 +69,6 @@ from repro.engine.runtime import (
     StaticPlan,
     available_candidates,
     run_with_series,
-    static_plan,
 )
 from repro.errors import (
     CacheConsistencyError,
@@ -91,7 +91,7 @@ from repro.planner.enumeration import (
 )
 from repro.relations.predicates import AttrRef, EquiPredicate, JoinGraph
 from repro.relations.relation import Relation
-from repro.streams.events import DeltaBatch, OutputDelta, Sign, Update, batched
+from repro.streams.events import DeltaBatch, OutputDelta, Sign, Update
 from repro.streams.tuples import CompositeTuple, Row, RowFactory, Schema
 from repro.streams.windows import CountWindow
 from repro.streams.workloads import (
@@ -130,6 +130,7 @@ __all__ = [
     "CostModel",
     "CountWindow",
     "DeltaBatch",
+    "Driver",
     "EngineConfig",
     "EquiPredicate",
     "ExecContext",
@@ -169,12 +170,12 @@ __all__ = [
     "WorkloadError",
     "XJoinExecutor",
     "available_candidates",
-    "batched",
     "benefit",
     "best_xjoin",
     "build_adaptive_engine",
     "build_static_plan",
     "cost",
+    "drive",
     "enumerate_candidates",
     "enumerate_trees",
     "fig6_workload",
@@ -198,7 +199,6 @@ __all__ = [
     "select",
     "shared_groups",
     "star_graph",
-    "static_plan",
     "table2_workload",
     "three_way_chain",
 ]

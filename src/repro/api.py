@@ -1,10 +1,6 @@
 """The public construction facade: :class:`EngineConfig` + :class:`Session`.
 
-Three PRs of growth (observability, faults, parallel) left engine
-construction fragmented: ``static_plan``, ``planner.enumeration``,
-``parallel.EngineSpec``, ``faults.chaos``, and the CLI each re-plumbed the
-same ``orders/global_quota/buckets/resilience/shards`` keyword sets. This
-module is the one place those knobs live:
+This module is the one place the engine-construction knobs live:
 
 * :class:`EngineConfig` — a frozen dataclass holding every construction
   parameter (join orders, cache quota and buckets, micro-batch size,
@@ -12,11 +8,11 @@ module is the one place those knobs live:
 * :class:`Session` — a facade over one engine built from a config:
   ``Session.static(...)`` for a fixed cache set, ``Session.adaptive(...)``
   for the full A-Caching engine, with ``.run(...)`` / ``.series(...)``
-  drivers that honor the config's batch size and shard count.
+  entry points that honor the config's batch size and shard count.
 
 Everything in-repo (figures, chaos, parallel specs, the CLI) builds
-engines through this module; the old keyword entry points remain as thin
-shims that emit :class:`DeprecationWarning`.
+engines through this module, and every serial run feeds its engine
+through the one drive loop, :class:`repro.engine.driver.Driver`.
 
 >>> from repro.api import EngineConfig, Session
 >>> session = Session.adaptive(workload, EngineConfig(batch_size=64))
@@ -26,7 +22,6 @@ shims that emit :class:`DeprecationWarning`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import (
     Callable,
@@ -41,6 +36,7 @@ from typing import (
 
 from repro.core.acaching import ACaching, ACachingConfig
 from repro.core.reoptimizer import ReoptimizerConfig
+from repro.engine.driver import Driver, drive
 from repro.errors import ConfigError, PlanError
 from repro.faults.resilience import ResilienceConfig
 from repro.streams.events import DeltaBatch, OutputDelta, Update
@@ -438,11 +434,7 @@ class EngineConfig:
 
 
 def build_static_plan(workload: Workload, config: Optional[EngineConfig] = None):
-    """Build a :class:`~repro.engine.runtime.StaticPlan` from a config.
-
-    The non-deprecated replacement for the legacy keyword form of
-    :func:`repro.engine.runtime.static_plan`.
-    """
+    """Build a :class:`~repro.engine.runtime.StaticPlan` from a config."""
     from repro.engine.runtime import _build_static_plan
 
     config = config if config is not None else EngineConfig()
@@ -459,10 +451,7 @@ def build_static_plan(workload: Workload, config: Optional[EngineConfig] = None)
 def build_adaptive_engine(
     workload: Workload, config: Optional[EngineConfig] = None
 ) -> ACaching:
-    """Build the full A-Caching engine from a config.
-
-    The non-deprecated replacement for ``ACaching.for_workload``.
-    """
+    """Build the full A-Caching engine from a config."""
     config = config if config is not None else EngineConfig()
     return ACaching(
         workload.graph,
@@ -607,57 +596,33 @@ class Session:
             if arrivals is None:
                 raise PlanError("run() needs either updates or arrivals")
             updates = self.workload.updates(arrivals)
-        plan = self.plan
+        plan = self.plan  # built first: building sets up self._obs
         profiler = self._obs.profiler if self._obs is not None else None
         if profiler is not None and profiler.enabled:
             with profiler.span("run", clock=plan.ctx.clock):
-                outputs = self._run_serial(updates)
+                outputs = self._drive(updates)
         else:
-            outputs = self._run_serial(updates)
+            outputs = self._drive(updates)
         self._export_obs()
         return outputs
 
-    def _run_serial(self, updates: Iterable[Update]) -> List[OutputDelta]:
-        if self.config.wal_dir is not None:
-            return self._run_recorded(updates)
-        return self.plan.run(updates, batch_size=self.config.batch_size)
-
-    def _run_recorded(
-        self, updates: Iterable[Update], skip_through: int = -1
-    ) -> List[OutputDelta]:
-        """Drive ``updates`` journaled: WAL every update, checkpoint at
-        update/flush boundaries. ``skip_through`` drops the prefix a
-        restore already covered (checkpoint + replayed WAL)."""
+    def _recorder(self):
+        """A Recorder journaling to ``wal_dir``, or None without one."""
+        config = self.config.recovery()
+        if config is None:
+            return None
         from repro.recovery.manager import Recorder
 
-        recorder = Recorder(self.plan, self.config.recovery())
-        outputs: List[OutputDelta] = []
-        pending: List[Update] = []
+        return Recorder(self.plan, config)
 
-        def flush() -> None:
-            if not pending:
-                return
-            last_seq = pending[-1].seq
-            for deltas in self.plan.process_batch(DeltaBatch(pending)):
-                outputs.extend(deltas)
-            recorder.mark_processed(len(pending))
-            pending.clear()
-            recorder.maybe_checkpoint(last_seq)
-
-        for update in updates:
-            if update.seq <= skip_through:
-                continue
-            recorder.log(update)
-            if self.config.batch_size == 1:
-                outputs.extend(self.plan.process(update))
-                recorder.mark_processed()
-                recorder.maybe_checkpoint(update.seq)
-            else:
-                pending.append(update)
-                if len(pending) >= self.config.batch_size:
-                    flush()
-        flush()
-        recorder.close()
+    def _drive(self, updates: Iterable[Update]) -> List[OutputDelta]:
+        """Feed ``updates`` through the plan at the config's batch size,
+        journaled (WAL every update, checkpoint at batch boundaries) when
+        ``wal_dir`` is set; returns the result deltas."""
+        recorder = self._recorder()
+        outputs = drive(self.plan, updates, self.config.batch_size, recorder)
+        if recorder is not None:
+            recorder.close()
         return outputs
 
     # ------------------------------------------------------------------
@@ -696,9 +661,10 @@ class Session:
             delta for _seq, deltas in restored.replayed for delta in deltas
         ]
         outputs.extend(
-            self._run_recorded(
-                self.workload.updates(arrivals),
-                skip_through=restored.last_seq,
+            self._drive(
+                update
+                for update in self.workload.updates(arrivals)
+                if update.seq > restored.last_seq
             )
         )
         self._export_obs()
@@ -716,7 +682,8 @@ class Session:
         """Run while sampling throughput; returns ``SeriesPoint`` list.
 
         Serial sessions drive :func:`repro.engine.runtime.run_with_series`
-        (honoring ``batch_size``); sharded sessions drive the lockstep
+        (honoring ``batch_size``, and journaling like :meth:`run` when
+        ``wal_dir`` is set); sharded sessions drive the lockstep
         :func:`repro.parallel.series.run_series_sharded`.
         """
         if self.config.shards > 1:
@@ -724,6 +691,11 @@ class Session:
 
             if arrivals is None:
                 raise PlanError("a sharded series() needs arrivals")
+            if self.config.wal_dir is not None:
+                raise ConfigError(
+                    "a sharded series() cannot journal; drop wal_dir or "
+                    "run the series unsharded"
+                )
             series = run_series_sharded(
                 self.experiment(arrivals, adaptivity=None),
                 shards=self.config.shards,
@@ -747,6 +719,7 @@ class Session:
             mem = getattr(plan, "memory_in_use", None)
             if callable(mem):
                 memory = mem
+        recorder = self._recorder()
         series = run_with_series(
             plan,
             updates,
@@ -755,7 +728,10 @@ class Session:
             used_caches=used_caches,
             memory=memory,
             batch_size=self.config.batch_size,
+            recorder=recorder,
         )
+        if recorder is not None:
+            recorder.close()
         self._export_obs()
         return series
 
@@ -829,7 +805,8 @@ class Session:
         of the flattened delta list. Works at any shard count (one shard
         runs in-process). ``crashes`` (:class:`WorkerCrash` specs) only
         applies to supervised runs — it injects deterministic worker
-        kills. ``measurement`` kwargs flow into the
+        kills, and ``wal_dir`` requires supervision, since the supervisor
+        is what journals shards. ``measurement`` kwargs flow into the
         :class:`ExperimentSpec` (``output_mode``, ``collect_windows``,
         ``stop_after_updates``, ``adaptivity``, ...).
         """
@@ -837,6 +814,11 @@ class Session:
 
         if arrivals is None:
             raise PlanError("execute() needs arrivals")
+        if self.config.wal_dir is not None and self.config.supervision is None:
+            raise ConfigError(
+                "execute() journals shards only under the supervisor: "
+                "wal_dir needs supervision set on the EngineConfig"
+            )
         spec = self.experiment(arrivals, **measurement)
         if self.config.supervision is not None:
             from repro.parallel.supervisor import Supervisor
@@ -855,22 +837,6 @@ class Session:
             self._export_merged_obs(self.last_telemetry)
         return run
 
-    def run_sharded(
-        self, arrivals: Optional[int] = None, crashes=(), **measurement
-    ):
-        """Deprecated: :meth:`execute` is the structured runner now (and
-        :meth:`run` dispatches on the config's sharding by itself)."""
-        warnings.warn(
-            "Session.run_sharded(...) is deprecated; use "
-            "Session.execute(...) for the structured run, or "
-            "Session.run(), which dispatches on the config's sharding",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute(
-            arrivals=arrivals, crashes=crashes, **measurement
-        )
-
     # ------------------------------------------------------------------
     # introspection / observability
     # ------------------------------------------------------------------
@@ -881,11 +847,9 @@ class Session:
 
     def used_caches(self) -> Tuple[str, ...]:
         """Candidate ids of the caches the engine currently probes."""
-        used = getattr(self.plan, "used_caches", None)
-        if callable(used):
-            return tuple(used())
-        fixed = getattr(self.plan, "used", None)
-        return tuple(fixed) if fixed else ()
+        from repro.parallel.shard import _used_caches
+
+        return _used_caches(self.plan)
 
     def profile_snapshot(self):
         """The serial profiler's state, or None when not profiling.
@@ -1040,7 +1004,16 @@ class MultiSession:
                     )
                 workload = next(iter(distinct.values()))
             updates = workload.updates(arrivals)
-        return self.engine.run(updates)
+        outputs: Dict[str, List[OutputDelta]] = {
+            query_id: [] for query_id in self.engine.queries()
+        }
+
+        def collect(_update: Update, per_query) -> None:
+            for query_id, deltas in per_query.items():
+                outputs.setdefault(query_id, []).extend(deltas)
+
+        Driver(self.engine, collect).run(updates)
+        return outputs
 
     # ------------------------------------------------------------------
     # introspection / observability

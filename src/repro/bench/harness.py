@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
+from repro.engine.driver import Driver
 from repro.streams.workloads import Workload
 
 
@@ -70,7 +71,7 @@ def format_rows(
 
 def run_static(plan, workload: Workload, arrivals: int) -> float:
     """Run a static plan to completion; returns updates/sec."""
-    plan.run(workload.updates(arrivals))
+    Driver(plan).run(workload.updates(arrivals))
     ctx = plan.ctx
     return ctx.metrics.throughput(ctx.clock.now_seconds)
 

@@ -32,6 +32,7 @@ from typing import Dict, List
 from repro.api import EngineConfig, Session
 from repro.core.acaching import ACachingConfig
 from repro.core.reoptimizer import ReoptimizerConfig
+from repro.engine.driver import Driver
 from repro.errors import ConfigError
 from repro.multi.engine import MultiQueryEngine
 from repro.streams.workloads import fig9_workload
@@ -135,7 +136,13 @@ def run_multi_bench(
             fig9_workload(MULTI_BENCH_RELATIONS, window=MULTI_BENCH_WINDOW),
             _tuned_config(budget_bytes),
         )
-    shared_deltas = engine.run(updates)
+    shared_outputs: Dict[str, int] = dict.fromkeys(ids, 0)
+
+    def count(_update, per_query) -> None:
+        for query_id, deltas in per_query.items():
+            shared_outputs[query_id] += len(deltas)
+
+    Driver(engine, count).run(updates)
     snapshot = engine.snapshot()
     shared = MultiConfigPoint(
         mode="shared",
@@ -145,9 +152,7 @@ def run_multi_bench(
         aggregate_hit_rate=engine.aggregate_hit_rate(),
         modeled_cost_us=engine.modeled_cost_us(),
         shared_store_count=snapshot["shared_stores"],
-        outputs_per_query={
-            query_id: len(shared_deltas[query_id]) for query_id in ids
-        },
+        outputs_per_query=shared_outputs,
     )
 
     # -- isolated: N engines, each a 1/N quota slice and own windows ---

@@ -8,15 +8,16 @@ throughput sampling along a run (the time axis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.candidates import enumerate_candidates
 from repro.core.wiring import CacheWiring
+from repro.engine.driver import Driver
 from repro.errors import PlanError
 from repro.faults.resilience import ResilienceConfig, ResilienceController
 from repro.mjoin.executor import MJoinExecutor
-from repro.streams.events import DeltaBatch, Sign, Update, batched
+from repro.streams.events import DeltaBatch, Update
 from repro.streams.workloads import Workload
 
 
@@ -36,10 +37,6 @@ class StaticPlan:
     def process_batch(self, batch: DeltaBatch):
         """Process one micro-batch; returns per-update delta lists."""
         return self.executor.process_batch(batch)
-
-    def run(self, updates: Iterable[Update], batch_size: int = 1):
-        """Process a whole update sequence."""
-        return self.executor.run(updates, batch_size=batch_size)
 
     @property
     def ctx(self):
@@ -102,38 +99,6 @@ def _build_static_plan(
     )
 
 
-def static_plan(
-    workload: Workload,
-    orders: Optional[Dict[str, Sequence[str]]] = None,
-    candidate_ids: Sequence[str] = (),
-    global_quota: int = 8,
-    buckets: int = 512,
-    resilience: Optional[ResilienceConfig] = None,
-) -> StaticPlan:
-    """Deprecated keyword entry point; use :mod:`repro.api` instead.
-
-    .. deprecated::
-       Build static plans through ``Session.static(workload,
-       EngineConfig(...))`` or ``repro.api.build_static_plan``.
-    """
-    import warnings
-
-    warnings.warn(
-        "static_plan(...) is deprecated; build plans via "
-        "repro.api.Session.static(workload, EngineConfig(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_static_plan(
-        workload,
-        orders=orders,
-        candidate_ids=candidate_ids,
-        global_quota=global_quota,
-        buckets=buckets,
-        resilience=resilience,
-    )
-
-
 def available_candidates(
     workload: Workload,
     orders: Optional[Dict[str, Sequence[str]]] = None,
@@ -174,8 +139,9 @@ def run_with_series(
     used_caches: Optional[Callable[[], Sequence[str]]] = None,
     memory: Optional[Callable[[], int]] = None,
     batch_size: int = 1,
+    recorder=None,
 ) -> List[SeriesPoint]:
-    """Drive ``plan.process`` over ``updates``, sampling throughput.
+    """Drive ``plan`` over ``updates``, sampling throughput.
 
     ``x_of`` marks which updates advance the x-axis (Figure 12 counts
     arriving ∆S insertions); by default every update counts.
@@ -184,11 +150,12 @@ def run_with_series(
     adaptivity :class:`~repro.obs.decisions.DecisionRecord`s that fired
     inside it, so plots can annotate "cache X added here" markers.
 
-    With ``batch_size > 1`` updates are driven through
-    ``plan.process_batch`` in consecutive micro-batches (results are
-    identical; sampling windows are checked at batch boundaries). A
-    trailing partial window is always flushed as a final point so short
-    runs and non-divisible ``sample_every_updates`` aren't truncated.
+    Updates go through a :class:`~repro.engine.driver.Driver` in
+    micro-batches of ``batch_size`` (results are identical at every
+    size; sampling windows are checked at batch boundaries), journaled
+    to ``recorder`` when one is given. A trailing partial window is
+    always flushed as a final point so short runs and non-divisible
+    ``sample_every_updates`` aren't truncated.
     """
     series: List[SeriesPoint] = []
     ctx = plan.ctx
@@ -237,28 +204,22 @@ def run_with_series(
         state["seq"] = ctx.obs.decisions.last_seq
         state["shed"] = shed_now
 
-    if batch_size > 1:
-        for batch in batched(updates, batch_size):
-            plan.process_batch(batch)
-            if x_of is None:
-                x += len(batch)
-            else:
-                x += sum(1 for u in batch if x_of(u))
-            if (
-                ctx.metrics.updates_processed - state["updates"]
-                >= sample_every_updates
-            ):
-                emit_point()
-    else:
-        for update in updates:
-            plan.process(update)
-            if x_of is None or x_of(update):
-                x += 1
-            if (
-                ctx.metrics.updates_processed - state["updates"]
-                >= sample_every_updates
-            ):
-                emit_point()
+    def advance_x(update: Update, _deltas) -> None:
+        nonlocal x
+        if x_of is None or x_of(update):
+            x += 1
+
+    driver = Driver(plan, advance_x, batch_size, recorder)
+    for update in updates:
+        # Processed counts only move when the driver flushes a batch, so
+        # this check fires exactly at batch boundaries.
+        driver.feed(update)
+        if (
+            ctx.metrics.updates_processed - state["updates"]
+            >= sample_every_updates
+        ):
+            emit_point()
+    driver.flush()
     # Flush the trailing partial window (if any updates landed in it).
     if ctx.metrics.updates_processed > state["updates"]:
         emit_point()

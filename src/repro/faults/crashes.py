@@ -47,9 +47,10 @@ import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.api import EngineConfig
+from repro.engine.driver import Driver
 from repro.errors import RecoveryError, ReproError
 from repro.faults.chaos import (
     _build_workload,
@@ -121,17 +122,33 @@ def _seeded_kill_point(seed: int, total_updates: int) -> int:
     return rng.randint(low, high)
 
 
+class _Tally:
+    """A drive-loop sink: the run's rid-free output multiset and
+    processed count. :meth:`state` is what each checkpoint carries."""
+
+    def __init__(self, state: Optional[dict] = None):
+        state = state or {}
+        self.outputs: Counter = Counter(state.get("canonical") or {})
+        self.processed: int = state.get("processed", 0)
+
+    def __call__(self, _update, deltas) -> None:
+        for delta in deltas:
+            self.outputs[canonical_delta(delta)] += 1
+        self.processed += 1
+
+    def state(self) -> dict:
+        return {"canonical": dict(self.outputs), "processed": self.processed}
+
+
 def _clean_serial(
     experiment: str, total: int
 ) -> Tuple[Counter, Dict[str, list]]:
     """Ground truth: outputs + final windows of an unjournaled run."""
     exp = resolve_experiment(experiment)
     engine = _engine(exp.build(total), None)
-    outputs: Counter = Counter()
-    for update in exp.build(total).updates(total):
-        for delta in engine.process(update):
-            outputs[canonical_delta(delta)] += 1
-    return outputs, _window_rows(engine)
+    tally = _Tally()
+    Driver(engine, tally).run(exp.build(total).updates(total))
+    return tally.outputs, _window_rows(engine)
 
 
 def _run_recorded_until_crash(
@@ -149,21 +166,12 @@ def _run_recorded_until_crash(
     exp = resolve_experiment(experiment)
     engine = _engine(exp.build(total), None)
     recorder = Recorder(engine, config)
-    outputs: Counter = Counter()
-    processed = 0
+    tally = _Tally()
+    driver = Driver(engine, tally, recorder=recorder, runner_state=tally.state)
     crash_seq = 0
     for update in exp.build(total).updates(total):
-        recorder.log(update)
-        for delta in engine.process(update):
-            outputs[canonical_delta(delta)] += 1
-        processed += 1
-        recorder.mark_processed()
-        if recorder.due():
-            recorder.checkpoint(
-                update.seq,
-                {"canonical": dict(outputs), "processed": processed},
-            )
-        if processed >= kill_at:
+        driver.feed(update)   # batch size 1: processed on the spot
+        if tally.processed >= kill_at:
             crash_seq = update.seq
             break
     if kind == "during_checkpoint":
@@ -172,10 +180,7 @@ def _run_recorded_until_crash(
         # half its bytes. It must fail its checksum on restore.
         recorder.wal.sync()
         payload = build_payload(
-            engine,
-            config.cache_mode,
-            crash_seq,
-            {"canonical": dict(outputs), "processed": processed},
+            engine, config.cache_mode, crash_seq, tally.state()
         )
         data = encode_snapshot(payload)
         with open(recorder.store.path_for(crash_seq), "wb") as handle:
@@ -198,30 +203,18 @@ def _resume_serial(
     )
     restored = manager.restore()
     engine = restored.plan
-    state = restored.runner_state or {}
-    outputs: Counter = Counter(state.get("canonical") or {})
-    processed = state.get("processed", 0)
-    for _seq, deltas in restored.replayed:
-        for delta in deltas:
-            outputs[canonical_delta(delta)] += 1
-        processed += 1
+    tally = _Tally(restored.runner_state)
+    for seq, deltas in restored.replayed:
+        tally(seq, deltas)
     recorder = Recorder(engine, config)
     recorder.mark_processed(len(restored.replayed))
-    for update in exp.build(total).updates(total):
-        if update.seq <= restored.last_seq:
-            continue
-        recorder.log(update)
-        for delta in engine.process(update):
-            outputs[canonical_delta(delta)] += 1
-        processed += 1
-        recorder.mark_processed()
-        if recorder.due():
-            recorder.checkpoint(
-                update.seq,
-                {"canonical": dict(outputs), "processed": processed},
-            )
+    Driver(engine, tally, recorder=recorder, runner_state=tally.state).run(
+        update
+        for update in exp.build(total).updates(total)
+        if update.seq > restored.last_seq
+    )
     recorder.close()
-    return outputs, _window_rows(engine), restored
+    return tally.outputs, _window_rows(engine), restored
 
 
 def _experiment_spec(experiment: str, total: int) -> ExperimentSpec:
@@ -260,6 +253,37 @@ def _run_crash_sharded(
         spec, shards, crashes=[WorkerCrash(crash_shard, kill_after)]
     )
     return run, clean, crash_shard, kill_after
+
+
+_Outcome = Tuple[Counter, Dict[str, list]]   # (output multiset, windows)
+
+
+def _compare(
+    report: CrashReport, clean: _Outcome, recovered: _Outcome
+) -> None:
+    """Record the recovered run's fidelity against the clean run."""
+    (clean_outputs, clean_windows), (outputs, windows) = clean, recovered
+    report.outputs_identical = outputs == clean_outputs
+    report.windows_identical = windows == clean_windows
+    report.outputs_clean = sum(clean_outputs.values())
+    report.outputs_recovered = sum(outputs.values())
+
+
+def _sharded_outcome(run) -> _Outcome:
+    return run.merged_canonical(), run.merged_windows()
+
+
+def _recover_serial(
+    report: CrashReport, experiment: str, total: int,
+    config: RecoveryConfig, clean: _Outcome,
+) -> None:
+    """Restore and resume a serial journal; record how it compares."""
+    outputs, windows, restored = _resume_serial(experiment, total, config)
+    report.checkpoint_seq = restored.checkpoint_seq
+    report.replayed = len(restored.replayed)
+    report.wal_torn = restored.wal_torn
+    report.skipped_checkpoints = restored.skipped_checkpoints
+    _compare(report, clean, (outputs, windows))
 
 
 def write_manifest(wal_dir: str, report: CrashReport) -> str:
@@ -368,16 +392,9 @@ def run_crash_chaos(
             report.kill_at = kill_after
             report.restarts = run.total_restarts
             report.fallbacks = len(run.fallbacks)
-            clean_outputs = clean.merged_canonical()
-            recovered_outputs = run.merged_canonical()
-            report.outputs_identical = recovered_outputs == clean_outputs
-            report.windows_identical = (
-                run.merged_windows() == clean.merged_windows()
-            )
-            report.outputs_clean = sum(clean_outputs.values())
-            report.outputs_recovered = sum(recovered_outputs.values())
+            _compare(report, _sharded_outcome(clean), _sharded_outcome(run))
         else:
-            clean_outputs, clean_windows = _clean_serial(experiment, total)
+            clean = _clean_serial(experiment, total)
             total_updates = sum(
                 1 for _ in exp.build(total).updates(total)
             )
@@ -387,20 +404,10 @@ def run_crash_chaos(
             )
             if not recover:
                 report.recovered = False
-                report.outputs_clean = sum(clean_outputs.values())
+                report.outputs_clean = sum(clean[0].values())
                 write_manifest(directory, report)
                 return report
-            outputs, windows, restored = _resume_serial(
-                experiment, total, config
-            )
-            report.checkpoint_seq = restored.checkpoint_seq
-            report.replayed = len(restored.replayed)
-            report.wal_torn = restored.wal_torn
-            report.skipped_checkpoints = restored.skipped_checkpoints
-            report.outputs_identical = outputs == clean_outputs
-            report.windows_identical = windows == clean_windows
-            report.outputs_clean = sum(clean_outputs.values())
-            report.outputs_recovered = sum(outputs.values())
+            _recover_serial(report, experiment, total, config, clean)
         if not owns_dir:
             write_manifest(directory, report)
         return report
@@ -453,25 +460,11 @@ def recover_and_verify(wal_dir: str) -> CrashReport:
         run = Supervisor(SupervisionConfig(), recovery=config).run(
             spec, shards
         )
-        clean_outputs = clean.merged_canonical()
-        recovered_outputs = run.merged_canonical()
-        report.outputs_identical = recovered_outputs == clean_outputs
-        report.windows_identical = (
-            run.merged_windows() == clean.merged_windows()
-        )
-        report.outputs_clean = sum(clean_outputs.values())
-        report.outputs_recovered = sum(recovered_outputs.values())
+        _compare(report, _sharded_outcome(clean), _sharded_outcome(run))
         return report
-    clean_outputs, clean_windows = _clean_serial(experiment, total)
-    outputs, windows, restored = _resume_serial(experiment, total, config)
-    report.checkpoint_seq = restored.checkpoint_seq
-    report.replayed = len(restored.replayed)
-    report.wal_torn = restored.wal_torn
-    report.skipped_checkpoints = restored.skipped_checkpoints
-    report.outputs_identical = outputs == clean_outputs
-    report.windows_identical = windows == clean_windows
-    report.outputs_clean = sum(clean_outputs.values())
-    report.outputs_recovered = sum(outputs.values())
+    _recover_serial(
+        report, experiment, total, config, _clean_serial(experiment, total)
+    )
     return report
 
 

@@ -21,7 +21,7 @@ from repro.operators.join_op import JoinOperator
 from repro.operators.pipeline import Pipeline, ProfileSample
 from repro.relations.predicates import JoinGraph
 from repro.relations.relation import Relation
-from repro.streams.events import DeltaBatch, OutputDelta, Sign, Update, batched
+from repro.streams.events import DeltaBatch, OutputDelta, Sign, Update
 from repro.streams.tuples import CompositeTuple
 
 # (relation, global seq) -> profile this update? The seq enables the
@@ -246,20 +246,6 @@ class MJoinExecutor:
                 self.ctx.probe_memo = None
             if prof.enabled:
                 prof.end(self.ctx.clock.now_us)
-
-    def run(
-        self, updates: Iterable[Update], batch_size: int = 1
-    ) -> List[OutputDelta]:
-        """Process a whole update sequence; returns all result deltas."""
-        outputs: List[OutputDelta] = []
-        if batch_size <= 1:
-            for update in updates:
-                outputs.extend(self.process(update))
-            return outputs
-        for batch in batched(updates, batch_size):
-            for per_update in self.process_batch(batch):
-                outputs.extend(per_update)
-        return outputs
 
     def _apply_window_update(self, update: Update, apply: bool = True) -> None:
         relation = self.relations[update.relation]

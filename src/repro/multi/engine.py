@@ -29,7 +29,7 @@ only move modeled cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core import cost_model
 from repro.core.acaching import ACaching, ACachingConfig
@@ -311,17 +311,9 @@ class MultiQueryEngine:
             self.enforce_global_memory()
         return outputs
 
-    def run(
-        self, updates: Iterable[Update]
-    ) -> Dict[str, List[OutputDelta]]:
-        """Process a whole update sequence; per-query delta lists."""
-        outputs: Dict[str, List[OutputDelta]] = {
-            query_id: [] for query_id in self._queries
-        }
-        for update in updates:
-            for query_id, deltas in self.process(update).items():
-                outputs.setdefault(query_id, []).extend(deltas)
-        return outputs
+    def process_batch(self, batch) -> List[Dict[str, List[OutputDelta]]]:
+        """Per-update :meth:`process` results, for the drive loop."""
+        return [self.process(update) for update in batch]
 
     # ------------------------------------------------------------------
     # global memory enforcement (Section 5 across tenants)

@@ -15,10 +15,11 @@ Enabling for a run::
 
     from repro import obs
     from repro.api import Session
+    from repro.engine.driver import drive
 
     with obs.session() as active:
         engine = Session.adaptive(workload).plan   # picks up the session
-        engine.run(workload.updates(20_000))
+        drive(engine, workload.updates(20_000))
     print(obs.export.observability_to_jsonl(active, engine.ctx.metrics))
 
 Engines built *inside* an active session adopt it automatically (the

@@ -243,15 +243,7 @@ def output_chronology(*runs: ParallelRun) -> List[Tuple[int, tuple]]:
 
 def count_source_updates(spec: ExperimentSpec) -> int:
     """How many updates the (possibly faulted) global stream contains."""
-    from repro.faults.plan import FaultPlan
-
-    workload = spec.workload_factory()
-    updates = workload.updates(spec.arrivals)
-    if spec.fault_spec is not None:
-        updates = FaultPlan(spec.fault_spec, seed=spec.fault_seed).updates(
-            updates
-        )
-    return sum(1 for _ in updates)
+    return sum(1 for _ in spec.updates(spec.workload_factory()))
 
 
 def _coordinated_worker(conn, spec, shard, shard_count) -> None:

@@ -16,13 +16,14 @@ truthful about what the fleet as a whole did.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, List, Optional
 
+from repro.engine.driver import Driver
 from repro.engine.runtime import SeriesPoint
 from repro.parallel.partitioner import scheme_for_workload
 from repro.parallel.shard import _memory_in_use, _used_caches
 from repro.parallel.spec import ExperimentSpec
-from repro.streams.events import DeltaBatch, Update
+from repro.streams.events import Update
 
 
 def run_series_sharded(
@@ -38,19 +39,14 @@ def run_series_sharded(
     behind it. Always in-process: a time axis needs lockstep sampling,
     which per-worker replay cannot give.
     """
-    driver = spec.workload_factory()
-    scheme = scheme_for_workload(driver, shards)
+    source = spec.workload_factory()
+    scheme = scheme_for_workload(source, shards)
     plans = [spec.engine.build(spec.workload_factory()) for _ in range(shards)]
     contexts = [plan.ctx for plan in plans]
     resiliences = [getattr(plan, "resilience", None) for plan in plans]
-
-    updates: Iterable[Update] = driver.updates(spec.arrivals)
-    if spec.fault_spec is not None:
-        from repro.faults.plan import FaultPlan
-
-        updates = FaultPlan(spec.fault_spec, seed=spec.fault_seed).updates(
-            updates
-        )
+    # One drive loop per shard; all of them flush before every sample so
+    # each point reflects a lockstep stream position.
+    drivers = [Driver(plan, batch_size=spec.batch_size) for plan in plans]
 
     series: List[SeriesPoint] = []
     x = 0
@@ -121,33 +117,18 @@ def run_series_sharded(
             window_start_seq[index] = ctx.obs.decisions.last_seq
             window_start_shed[index] = shed_now[index]
 
-    # Per-shard micro-batch buffers (spec.batch_size = 1 keeps the
-    # unbatched per-update path). All buffers drain before a sample is
-    # taken so every point still reflects a lockstep stream position.
-    pending: List[List[Update]] = [[] for _ in range(shards)]
-
-    def flush_shard(shard: int) -> None:
-        if pending[shard]:
-            plans[shard].process_batch(DeltaBatch(pending[shard]))
-            pending[shard].clear()
-
-    for update in updates:
+    for update in spec.updates(source):
         for shard in scheme.shards_for(update):
-            if spec.batch_size == 1:
-                plans[shard].process(update)
-            else:
-                pending[shard].append(update)
-                if len(pending[shard]) >= spec.batch_size:
-                    flush_shard(shard)
+            drivers[shard].feed(update)
         source_processed += 1
         if x_of is None or x_of(update):
             x += 1
         if source_processed - window_start_source >= sample_every_updates:
-            for shard in range(shards):
-                flush_shard(shard)
+            for driver in drivers:
+                driver.flush()
             emit_point()
-    for shard in range(shards):
-        flush_shard(shard)
+    for driver in drivers:
+        driver.flush()
     # Flush the trailing partial window (if any updates landed in it).
     if source_processed > window_start_source:
         emit_point()

@@ -19,10 +19,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.faults.plan import FaultPlan
+from repro.engine.driver import Driver
 from repro.parallel.partitioner import PartitionScheme, scheme_for_workload
 from repro.parallel.spec import ExperimentSpec
-from repro.streams.events import DeltaBatch, OutputDelta, Sign, canonical_delta
+from repro.streams.events import OutputDelta, Sign, canonical_delta
 
 # Exit status a deliberately killed worker dies with (crash injection).
 KILL_EXIT_CODE = 23
@@ -76,12 +76,6 @@ class ShardResult:
     telemetry: Optional[object] = None
 
 
-def _relations_of(plan):
-    """The relation-name -> Relation map behind any plan kind."""
-    executor = getattr(plan, "executor", plan)
-    return executor.relations
-
-
 def _used_caches(plan) -> Tuple[str, ...]:
     """Candidate ids of caches currently probed, if the plan has any."""
     used = getattr(plan, "used_caches", None)
@@ -112,7 +106,7 @@ def _seed_reshard_windows(plan, seed, scheme, shard: int) -> None:
     from repro.streams.events import Update
     from repro.streams.tuples import Row
 
-    relations = _relations_of(plan)
+    relations = getattr(plan, "executor", plan).relations
     for name, rows in seed.windows.items():
         relation = relations.get(name)
         if relation is None:
@@ -122,32 +116,6 @@ def _seed_reshard_windows(plan, seed, scheme, shard: int) -> None:
             probe = Update(name, row, Sign.INSERT, 0)
             if shard in scheme.shards_for(probe):
                 relation.insert(row)
-
-
-def _poison_one_entry(plan) -> bool:
-    """Chaos support: swap one cached row for a fake-rid impostor.
-
-    Mirrors the serial chaos harness, but per shard: each shard poisons
-    the deterministically-first entry of its own first wired cache so the
-    coherence auditor has something to catch on every shard.
-    """
-    from repro.faults.chaos import POISON_RID
-    from repro.streams.tuples import CompositeTuple, Row
-
-    reoptimizer = getattr(plan, "reoptimizer", None)
-    if reoptimizer is None:
-        return False
-    wiring = reoptimizer.wiring
-    for candidate_id in sorted(wiring.wired):
-        wired = wiring.wired[candidate_id]
-        for _key, value in wired.cache.store.entries():
-            for identity, composite in value.items():
-                relation = wired.cache.segment[0]
-                rows = {r: composite.row(r) for r in composite.relations()}
-                rows[relation] = Row(POISON_RID, rows[relation].values)
-                value[identity] = CompositeTuple(rows)
-                return True
-    return False
 
 
 def run_shard(
@@ -269,12 +237,6 @@ def _run_shard(
         # the windows this shard owns under the *new* partitioning.
         _seed_reshard_windows(plan, spec.reshard, scheme, shard)
 
-    updates = workload.updates(spec.arrivals)
-    if spec.fault_spec is not None:
-        updates = FaultPlan(spec.fault_spec, seed=spec.fault_seed).updates(
-            updates
-        )
-
     warmup_arrivals = int(spec.arrivals * spec.warmup_fraction)
     arrivals_seen = 0                  # counted over the *global* stream
     start_updates: Optional[int] = None
@@ -314,11 +276,16 @@ def _run_shard(
     def maybe_poison() -> None:
         nonlocal poisonings
         if (
-            poison_after is not None
-            and poisonings == 0
-            and processed_here >= poison_after
-            and _poison_one_entry(plan)
+            poison_after is None
+            or poisonings
+            or processed_here < poison_after
         ):
+            return
+        # Each shard poisons its own first wired cache, as the serial
+        # chaos harness does, so the auditor has something to catch.
+        from repro.faults.chaos import _poison_one_entry
+
+        if _poison_one_entry(plan):
             poisonings = 1
 
     def runner_state() -> dict:
@@ -356,22 +323,13 @@ def _run_shard(
         recorder = Recorder(plan, recovery)
         recorder.mark_processed(len(restored.replayed))
 
-    # This shard's routed updates, grouped into consecutive micro-batches
-    # (spec.batch_size; 1 = the unbatched per-update path).
-    pending: List = []
-
-    def flush_pending() -> None:
-        if not pending:
-            return
-        batch = DeltaBatch(pending)
-        last_seq = pending[-1].seq
-        for update, outputs in zip(pending, plan.process_batch(batch)):
-            record(update.seq, outputs)
-        pending.clear()
+    def sink(update, outputs) -> None:
+        record(update.seq, outputs)
         maybe_poison()
-        if recorder is not None:
-            recorder.mark_processed(len(batch))
-            recorder.maybe_checkpoint(last_seq, runner_state())
+
+    # This shard's routed updates, in micro-batches of spec.batch_size,
+    # journaled and checkpointed at batch boundaries when recovering.
+    driver = Driver(plan, sink, spec.batch_size, recorder, runner_state)
 
     # Epoch barriers sit at fixed *positions* of the global stream
     # (``source_seen``); every worker iterates the identical stream, so
@@ -384,7 +342,7 @@ def _run_shard(
     prof = ctx.obs.profiler
     if prof.enabled:
         prof.begin("run", ctx.clock.now_us)
-    for update in updates:
+    for update in spec.updates(workload):
         source_seen += 1
         if source_seen <= skip_through:
             # Reshard skip region: the seeded windows already reflect
@@ -406,33 +364,22 @@ def _run_shard(
             if start_updates is None and arrivals_seen >= warmup_arrivals:
                 # Drain buffered pre-warmup updates so the measured span
                 # starts at a batch boundary.
-                flush_pending()
+                driver.flush()
                 start_updates = ctx.metrics.updates_processed
                 start_time_us = ctx.clock.now_us
             if update.sign is Sign.INSERT:
                 arrivals_seen += 1
             if shard in scheme.shards_for(update):
-                if recorder is not None:
-                    recorder.log(update)
-                if spec.batch_size == 1:
-                    record(update.seq, plan.process(update))
-                    maybe_poison()
-                    if recorder is not None:
-                        recorder.mark_processed()
-                        recorder.maybe_checkpoint(update.seq, runner_state())
-                else:
-                    pending.append(update)
-                    if len(pending) >= spec.batch_size:
-                        flush_pending()
+                driver.feed(update)
         if sync_every and source_seen % sync_every == 0:
-            flush_pending()
+            driver.flush()
             exchange_epoch(source_seen // sync_every)
         if (
             spec.stop_after_updates is not None
             and source_seen >= spec.stop_after_updates
         ):
             break
-    flush_pending()
+    driver.flush()
     if prof.enabled:
         prof.end(ctx.clock.now_us)
     if recorder is not None:
@@ -467,13 +414,9 @@ def _run_shard(
     )
     windows = None
     if spec.collect_windows:
-        windows = {
-            name: sorted(
-                ((row.rid, row.values) for row in relation.rows()),
-                key=lambda pair: pair[0],
-            )
-            for name, relation in _relations_of(plan).items()
-        }
+        from repro.recovery.manager import _window_rows
+
+        windows = _window_rows(plan)
     summary = resilience.summary() if resilience else None
     dead_letters = (
         list(resilience.guard.dead_letters.entries())

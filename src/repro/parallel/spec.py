@@ -13,10 +13,10 @@ bit-equivalent to the serial one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ParallelError
-from repro.faults.plan import FaultSpec
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.parallel.adaptivity import AdaptivityConfig
 
 
@@ -181,3 +181,14 @@ class ExperimentSpec:
             # seed cannot reconstruct; resharding it would silently drop
             # results.
             raise ParallelError("xjoin engines cannot be resharded")
+
+    def updates(self, workload) -> Iterator:
+        """The global stream this spec drives: ``workload``'s first
+        ``arrivals`` arrivals, rewritten by the fault plan when one is
+        set. Every shard replays exactly this stream."""
+        updates = workload.updates(self.arrivals)
+        if self.fault_spec is None:
+            return updates
+        return FaultPlan(self.fault_spec, seed=self.fault_seed).updates(
+            updates
+        )

@@ -92,38 +92,27 @@ def measured_run(
     from the measurement — overheads incurred after warm-up (profiling,
     re-optimization) still count, as in the paper.
 
-    ``batch_size > 1`` drives the plan through consecutive micro-batches
-    (``plan.process_batch``); the measured span starts at a batch
-    boundary so warmup exclusion stays exact.
+    The plan is driven in micro-batches of ``batch_size``; the measured
+    span starts at a batch boundary so warmup exclusion stays exact.
     """
-    from repro.streams.events import DeltaBatch, Sign
+    from repro.engine.driver import Driver
+    from repro.streams.events import Sign
 
     ctx = plan.ctx
     warmup = int(arrivals * warmup_fraction)
     arrivals_seen = 0
     start_updates: Optional[int] = None
     start_time = 0.0
-    pending: List = []
-
-    def flush_pending() -> None:
-        if pending:
-            plan.process_batch(DeltaBatch(pending))
-            pending.clear()
-
+    driver = Driver(plan, batch_size=batch_size)
     for update in workload.updates(arrivals):
         if start_updates is None and arrivals_seen >= warmup:
-            flush_pending()
+            driver.flush()
             start_updates = ctx.metrics.updates_processed
             start_time = ctx.clock.now_seconds
-        if batch_size == 1:
-            plan.process(update)
-        else:
-            pending.append(update)
-            if len(pending) >= batch_size:
-                flush_pending()
+        driver.feed(update)
         if update.sign is Sign.INSERT:
             arrivals_seen += 1  # each arrival yields exactly one insertion
-    flush_pending()
+    driver.flush()
     if start_updates is None:
         start_updates, start_time = 0, 0.0
     span = max(1e-12, ctx.clock.now_seconds - start_time)

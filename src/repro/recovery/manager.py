@@ -174,21 +174,12 @@ class Recorder:
         """True when the next safe point should checkpoint."""
         return self._since_checkpoint >= self.config.checkpoint_interval
 
-    def maybe_checkpoint(
-        self, last_seq: int, runner_state: Optional[dict] = None
-    ) -> bool:
-        """Checkpoint if due. Call only at safe points — an update (or
-        flushed-batch) boundary, where the engine state reflects exactly
-        the updates with seq <= ``last_seq``."""
-        if not self.due():
-            return False
-        self.checkpoint(last_seq, runner_state)
-        return True
-
     def checkpoint(
         self, last_seq: int, runner_state: Optional[dict] = None
     ) -> str:
-        """Force a checkpoint at ``last_seq``; returns its path."""
+        """Checkpoint at ``last_seq``; returns its path. Call only at safe
+        points — an update (or flushed-batch) boundary, where the engine
+        state reflects exactly the updates with seq <= ``last_seq``."""
         # WAL first: a checkpoint must never be newer than the durable log.
         self.wal.sync()
         ctx = self.plan.ctx

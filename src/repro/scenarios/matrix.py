@@ -34,6 +34,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api import EngineConfig, MultiSession
+from repro.engine.driver import Driver
 from repro.errors import ScenarioError
 from repro.faults.chaos import _build_workload, _chaos_config, resolve_experiment
 from repro.faults.crashes import run_crash_chaos
@@ -149,10 +150,12 @@ def _multi_chronology(factory, total: int) -> List[Tuple[int, tuple]]:
         "q", factory(), EngineConfig(tuning=_chaos_config(None))
     )
     groups: Dict[int, List[tuple]] = {}
-    for update in factory().updates(total):
-        deltas = session.process(update).get("q", [])
-        for delta in deltas:
+
+    def group(update, per_query) -> None:
+        for delta in per_query.get("q", ()):
             groups.setdefault(update.seq, []).append(canonical_delta(delta))
+
+    Driver(session.engine, group).run(factory().updates(total))
     return [(seq, tuple(sorted(groups[seq]))) for seq in sorted(groups)]
 
 

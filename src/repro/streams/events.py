@@ -99,24 +99,6 @@ class DeltaBatch:
         )
 
 
-def batched(updates: Iterable[Update], size: int) -> Iterator[DeltaBatch]:
-    """Group an update stream into consecutive :class:`DeltaBatch` chunks.
-
-    The final batch may be shorter than ``size``. ``size=1`` yields one
-    singleton batch per update (per-update execution semantics).
-    """
-    if size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {size}")
-    chunk: list = []
-    for update in updates:
-        chunk.append(update)
-        if len(chunk) >= size:
-            yield DeltaBatch(chunk)
-            chunk = []
-    if chunk:
-        yield DeltaBatch(chunk)
-
-
 def canonical_delta(delta: "OutputDelta") -> tuple:
     """A rid-free, hashable identity for one result delta.
 

@@ -16,9 +16,10 @@ from repro.api import (
     build_static_plan,
 )
 from repro.core.acaching import ACaching
-from repro.engine.runtime import _build_static_plan, static_plan
+from repro.engine.driver import Driver
+from repro.engine.runtime import _build_static_plan
 from repro.errors import PlanError
-from repro.streams.events import DeltaBatch, Update, batched
+from repro.streams.events import DeltaBatch
 from repro.streams.workloads import fig9_workload, three_way_chain
 
 CHAIN_ORDERS = {"T": ("S", "R"), "R": ("S", "T"), "S": ("R", "T")}
@@ -130,19 +131,6 @@ class TestSessionEqualsLegacy:
 
 
 class TestDeprecationShims:
-    def test_static_plan_warns_and_still_works(self):
-        workload = chain()
-        with pytest.warns(DeprecationWarning, match="static_plan"):
-            plan = static_plan(
-                workload, orders=CHAIN_ORDERS, candidate_ids=("T:0-1p",)
-            )
-        assert plan.used == ("T:0-1p",)
-
-    def test_for_workload_warns_and_still_works(self):
-        with pytest.warns(DeprecationWarning, match="for_workload"):
-            engine = ACaching.for_workload(chain())
-        assert engine.executor is not None
-
     def test_facade_builders_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -175,10 +163,17 @@ class TestDeltaBatch:
 
     def test_batched_chunks_consecutively(self):
         updates = self.updates(10)
-        chunks = list(batched(iter(updates), 4))
+        chunks = []
+
+        class Recording:
+            def process_batch(self, batch):
+                chunks.append(batch)
+                return [[] for _ in batch]
+
+        Driver(Recording(), batch_size=4).run(iter(updates))
         assert [len(c) for c in chunks] == [4, 4, 2]
         assert [u for c in chunks for u in c] == updates
 
     def test_batched_rejects_bad_size(self):
         with pytest.raises(ValueError):
-            list(batched(iter(self.updates(2)), 0))
+            Driver(object(), batch_size=0)

@@ -17,6 +17,7 @@ from repro.api import EngineConfig, MultiSession
 from repro.core.acaching import ACachingConfig
 from repro.core.memory import CacheDemand, PAGE_BYTES
 from repro.core.reoptimizer import ReoptimizerConfig
+from repro.engine.driver import Driver
 from repro.errors import ConfigError, PlanError
 from repro.multi import (
     GlobalMemoryArbiter,
@@ -224,7 +225,7 @@ class TestEngineLifecycle:
         engine.register("q1", STAR3(), TUNED)
         engine.register("q2", STAR3(), TUNED)
         # Cache selection needs ~2400 updates of statistics to engage.
-        engine.run(workload.updates(2_400))
+        Driver(engine).run(workload.updates(2_400))
         snapshot = engine.snapshot()
         assert snapshot["shared_stores"] >= 1
         shared_bytes = snapshot["cache_bytes"]
@@ -243,7 +244,7 @@ class TestEngineLifecycle:
         engine = MultiQueryEngine(share_caches=False)
         engine.register("q1", STAR3(), TUNED)
         engine.register("q2", STAR3(), TUNED)
-        engine.run(workload.updates(2_400))
+        Driver(engine).run(workload.updates(2_400))
         snapshot = engine.snapshot()
         assert snapshot["shared_stores"] == 0
         assert snapshot["cache_bytes"] > 0, (
@@ -255,7 +256,7 @@ class TestEngineLifecycle:
         engine = MultiQueryEngine()
         engine.register("q1", STAR3(), TUNED)
         engine.register("q2", STAR3(), TUNED)
-        engine.run(workload.updates(200))
+        Driver(engine).run(workload.updates(200))
         # One Relation per stream, bound into both executors.
         for name, relation in engine.hub.relations.items():
             for qid in ("q1", "q2"):
@@ -273,7 +274,7 @@ class TestObservability:
         engine = MultiQueryEngine()
         engine.register("q1", STAR3(), TUNED)
         engine.register("q2", STAR3(), TUNED)
-        engine.run(workload.updates(2_400))
+        Driver(engine).run(workload.updates(2_400))
         records = engine.decisions()
         assert records, "tuned run must produce adaptivity decisions"
         assert {r["query_id"] for r in records} == {"q1", "q2"}
@@ -286,7 +287,7 @@ class TestObservability:
         engine = MultiQueryEngine()
         engine.register("q1", STAR3(), TUNED)
         engine.register('q"2\\odd', STAR3(), TUNED)
-        engine.run(workload.updates(300))
+        Driver(engine).run(workload.updates(300))
         text = engine.metrics_prometheus()
         assert 'query_id="q1"' in text
         # Label values escaped per the exposition format.

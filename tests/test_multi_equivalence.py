@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.api import EngineConfig, Session, build_adaptive_engine
 from repro.core.acaching import ACaching, ACachingConfig
 from repro.core.reoptimizer import ReoptimizerConfig
+from repro.engine.driver import Driver, drive
 from repro.multi.engine import MultiQueryEngine
 from repro.parallel.engine import run_sharded
 from repro.relations.relation import Relation
@@ -70,7 +71,19 @@ def exact(deltas):
 
 def independent_run(workload_key, updates, config):
     engine = build_adaptive_engine(WORKLOADS[workload_key](), config)
-    return exact(engine.run(iter(updates)))
+    return exact(drive(engine, updates))
+
+
+def hosted_run(engine, updates):
+    """Each registered query's deltas over ``updates``, in order."""
+    per_query = {query_id: [] for query_id in engine.queries()}
+
+    def collect(_update, outputs):
+        for query_id, deltas in outputs.items():
+            per_query[query_id].extend(deltas)
+
+    Driver(engine, collect).run(updates)
+    return per_query
 
 
 def multi_run(workload_key, updates, n_queries, config, share):
@@ -81,7 +94,7 @@ def multi_run(workload_key, updates, n_queries, config, share):
     ids = [f"q{i + 1}" for i in range(n_queries)]
     for query_id in ids:
         engine.register(query_id, WORKLOADS[workload_key](), config)
-    deltas = engine.run(updates)
+    deltas = hosted_run(engine, updates)
     return {query_id: exact(deltas[query_id]) for query_id in ids}
 
 
@@ -177,7 +190,7 @@ def test_sharing_engages_and_stays_byte_identical():
     engine = MultiQueryEngine(share_caches=True)
     for query_id in ("q1", "q2"):
         engine.register(query_id, WORKLOADS["star3"](), tuned_config())
-    hosted = engine.run(updates)
+    hosted = hosted_run(engine, updates)
     assert engine.snapshot()["shared_stores"] >= 1, (
         "run too shallow: no inter-query store formed, the property "
         "would be vacuous"
@@ -197,7 +210,7 @@ def test_budget_evictions_at_depth_never_change_outputs():
     )
     for query_id in ("q1", "q2"):
         engine.register(query_id, WORKLOADS["star3"](), tuned_config(4096))
-    hosted = engine.run(updates)
+    hosted = hosted_run(engine, updates)
     for query_id in ("q1", "q2"):
         assert exact(hosted[query_id]) == baseline
 
@@ -260,7 +273,7 @@ def test_runtime_add_and_remove_preserve_byte_identity(
         q2_deltas.extend(outputs.get("q2", []))
 
     ref_q1 = build_adaptive_engine(WORKLOADS[workload_key](), config)
-    assert exact(q1_deltas) == exact(ref_q1.run(iter(updates[:remove_at])))
+    assert exact(q1_deltas) == exact(drive(ref_q1, updates[:remove_at]))
 
     ref_workload = WORKLOADS[workload_key]()
     ref_q2 = ACaching(

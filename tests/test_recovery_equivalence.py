@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import EngineConfig, Session
+from repro.engine.driver import Driver
 from repro.errors import ConfigError, RecoveryError, ReproError
 from repro.recovery.manager import Recorder, RecoveryConfig, RecoveryManager
 from repro.recovery.snapshot import CheckpointStore, decode_snapshot, encode_snapshot
@@ -50,13 +51,10 @@ def crash_journaled_run(config: EngineConfig, kill_at: int) -> None:
     """Drive a journaled run and kill it after ``kill_at`` updates."""
     session = Session.adaptive(WORKLOAD, config)
     recorder = Recorder(session.plan, config.recovery())
-    processed = 0
-    for update in session.workload.updates(ARRIVALS):
-        recorder.log(update)
-        session.plan.process(update)
-        processed += 1
-        recorder.mark_processed()
-        recorder.maybe_checkpoint(update.seq)
+    driver = Driver(session.plan, recorder=recorder)
+    updates = session.workload.updates(ARRIVALS)
+    for processed, update in enumerate(updates, start=1):
+        driver.feed(update)
         if processed >= kill_at:
             break
     recorder.crash()
