@@ -18,6 +18,11 @@ Two checks, with deliberately different teeth:
   time by tens of percent, so CI pins this to warn-only; run without
   the flag on quiet hardware to make drift a failure.
 
+Schema versions 1 and 2 are accepted; version 2 adds the ``machine``
+block (core count, Python version, platform), and both files' blocks are
+printed whenever a check warns, so drift can be told apart from a
+different runner.
+
 Exit status: 0 when every hard check passes (warnings allowed), 1
 otherwise.
 """
@@ -29,13 +34,28 @@ import json
 import sys
 from typing import List
 
+SUPPORTED_SCHEMAS = (1, 2)
+
 
 def load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if payload.get("benchmark") != "wall":
         raise SystemExit(f"{path} is not a BENCH_wall.json payload")
+    version = payload.get("schema_version", 1)
+    if version not in SUPPORTED_SCHEMAS:
+        raise SystemExit(
+            f"{path} has wall schema_version {version}; this gate reads "
+            f"{', '.join(map(str, SUPPORTED_SCHEMAS))}"
+        )
     return payload
+
+
+def machine_line(payload: dict) -> str:
+    machine = payload.get("machine")
+    if not machine:
+        return "unrecorded (schema_version 1)"
+    return json.dumps(machine, sort_keys=True)
 
 
 def check(fresh: dict, baseline: dict, warn_only: bool) -> int:
@@ -80,6 +100,9 @@ def check(fresh: dict, baseline: dict, warn_only: bool) -> int:
 
     for line in warnings:
         print(f"warning: {line}")
+    if warnings:
+        print(f"machine (fresh):    {machine_line(fresh)}")
+        print(f"machine (baseline): {machine_line(baseline)}")
     for line in errors:
         print(f"FAIL: {line}", file=sys.stderr)
     return 1 if errors else 0

@@ -16,12 +16,15 @@ from one profiled run, and the span profiler's own overhead —
 ``BENCH_wall.json`` commits the numbers together with the tolerances
 ``benchmarks/check_wall_regression.py`` applies; wall-throughput drift
 is gated warn-only (shared CI runners are noisy), the overhead budget
-is not.
+is not. Real time depends on the machine, so the file records the one
+it was measured on (``machine``: core count, Python version, platform).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import statistics
 from dataclasses import dataclass, field, replace
 from typing import Dict, List
@@ -35,7 +38,7 @@ from repro.obs.profile import (
 from repro.parallel.bench import bench_spec
 from repro.parallel.engine import ParallelConfig, ParallelEngine
 
-WALL_SCHEMA_VERSION = 1
+WALL_SCHEMA_VERSION = 2
 WALL_DEFAULT_OUT = "BENCH_wall.json"
 WALL_DEFAULT_ARRIVALS = 6_000
 WALL_DEFAULT_REPEATS = 3
@@ -78,6 +81,16 @@ class WallReport:
     overhead: Dict[str, float] = field(default_factory=dict)
     hotspots: List[dict] = field(default_factory=list)
     tolerances: Dict[str, float] = field(default_factory=dict)
+    machine: Dict[str, object] = field(default_factory=dict)
+
+
+def machine_block() -> Dict[str, object]:
+    """The machine a wall measurement ran on."""
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
 
 
 def _measure(spec, parallel: ParallelConfig, repeats: int):
@@ -129,6 +142,7 @@ def run_wall_bench(
         arrivals=arrivals,
         repeats=repeats,
         tolerances=dict(WALL_TOLERANCES),
+        machine=machine_block(),
     )
 
     serial_walls, serial_run = _measure(
@@ -214,6 +228,7 @@ def format_wall_report(report: WallReport) -> str:
     lines = [
         f"wall-clock benchmark — {report.workload}, "
         f"{report.arrivals} arrivals, median of {report.repeats}",
+        "machine: " + json.dumps(report.machine, sort_keys=True),
         f"{'mode':<10} | {'config':<16} | {'wall s':>8} | {'upd/s':>10}",
     ]
     for point in report.points:
@@ -274,6 +289,7 @@ def wall_to_json(report: WallReport) -> str:
             "overhead": report.overhead,
             "hotspots": report.hotspots,
             "tolerances": report.tolerances,
+            "machine": report.machine,
         },
         indent=2,
         sort_keys=True,

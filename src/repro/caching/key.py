@@ -76,15 +76,15 @@ class CacheKey:
 
     def probe_value(self, composite: CompositeTuple) -> tuple:
         """Key extracted from a prefix-side composite (a probing tuple)."""
-        return tuple(
+        return tuple([
             composite.value(rel, pos) for rel, pos in self._prefix_slots
-        )
+        ])
 
     def entry_key(self, composite: CompositeTuple) -> tuple:
         """Key extracted from a segment-side composite (a cached value)."""
-        return tuple(
+        return tuple([
             composite.value(rel, pos) for rel, pos in self._segment_slots
-        )
+        ])
 
     @property
     def prefix_slots(self) -> Tuple[Tuple[str, int], ...]:

@@ -7,8 +7,7 @@ window update itself.
 
 The executor is deliberately policy-free: join orderings come from an
 ordering algorithm, cache plumbing from the re-optimizer. It exposes the
-plumbing hooks both need, plus the witness-counting mini-join used by
-globally-consistent caches.
+plumbing hooks both need.
 """
 
 from __future__ import annotations
@@ -22,12 +21,15 @@ from repro.operators.pipeline import Pipeline, ProfileSample
 from repro.relations.predicates import JoinGraph
 from repro.relations.relation import Relation
 from repro.streams.events import DeltaBatch, OutputDelta, Sign, Update
-from repro.streams.tuples import CompositeTuple
 
 # (relation, global seq) -> profile this update? The seq enables the
 # deterministic cross-shard gate (ProfilerConfig.deterministic_gate).
 ProfileGate = Callable[[str, int], bool]
 SampleSink = Callable[[str, ProfileSample], None]
+
+# Builds an OutputDelta from a ``(composite, sign)`` pair without the
+# NamedTuple constructor's Python-level ``__new__`` (one per emitted delta).
+_new_delta = tuple.__new__
 
 
 def default_orders(graph: JoinGraph) -> Dict[str, Tuple[str, ...]]:
@@ -219,7 +221,8 @@ class MJoinExecutor:
             )
         if self.resilience is not None:
             self.resilience.after_update()
-        return [OutputDelta(c, update.sign) for c in composites]
+        sign = update.sign
+        return [_new_delta(OutputDelta, (c, sign)) for c in composites]
 
     def process_batch(self, batch: DeltaBatch) -> List[List[OutputDelta]]:
         """Process one micro-batch; returns per-update delta lists.
@@ -250,13 +253,8 @@ class MJoinExecutor:
     def _apply_window_update(self, update: Update, apply: bool = True) -> None:
         relation = self.relations[update.relation]
         cm = self.ctx.cost_model
-        index_count = sum(
-            1
-            for attr in relation.schema.attributes
-            if relation.has_index(attr)
-        )
         self.ctx.clock.charge(
-            cm.relation_update + cm.index_update * index_count
+            cm.relation_update + cm.index_update * relation.index_count
         )
         if not apply:
             return
@@ -264,62 +262,6 @@ class MJoinExecutor:
             relation.insert(update.row)
         else:
             relation.delete(update.row)
-
-    # ------------------------------------------------------------------
-    # support for globally-consistent caches
-    # ------------------------------------------------------------------
-    def witness_counter(
-        self, segment: Sequence[str], anchor: Sequence[str]
-    ) -> Callable[[CompositeTuple], int]:
-        """Build the Y-combination counter for an ``X ⋉ Y`` cache.
-
-        Counts, for a given X-composite, the number of Y-row combinations
-        joining it, via an index-driven mini-join over the anchor
-        relations. Charges ``witness_count_probe`` per index access.
-        """
-        anchor = tuple(anchor)
-        segment = tuple(segment)
-        # Order anchors so each connects to segment ∪ earlier anchors.
-        ordered: List[str] = []
-        known = list(segment)
-        remaining = list(anchor)
-        while remaining:
-            chosen = next(
-                (
-                    r
-                    for r in remaining
-                    if self.graph.predicates_between(known, r)
-                ),
-                remaining[0],
-            )
-            ordered.append(chosen)
-            known.append(chosen)
-            remaining.remove(chosen)
-        operators = []
-        prior = list(segment)
-        for target in ordered:
-            op = JoinOperator(self.graph, prior, target)
-            op.bind(self.relations[target])
-            operators.append(op)
-            prior.append(target)
-
-        def count(composite: CompositeTuple) -> int:
-            self.ctx.clock.charge(
-                self.ctx.cost_model.witness_count_probe * len(operators)
-            )
-            frontier = [composite]
-            for position, op in enumerate(operators):
-                is_last = position == len(operators) - 1
-                if is_last:
-                    return sum(
-                        len(op.match_rows(c, self.ctx)) for c in frontier
-                    )
-                frontier = op.apply(frontier, self.ctx)
-                if not frontier:
-                    return 0
-            return len(frontier)
-
-        return count
 
     def memory_in_use(self) -> int:
         """Bytes held by all caches attached to the pipelines."""

@@ -13,13 +13,21 @@ pipeline's final outputs. By the prefix invariant a maintenance tap's slot
 can never fall strictly inside an active lookup's bypassed range (see
 ``tests/test_pipeline.py::test_tap_inside_bypass_impossible``), so hits
 never starve maintenance.
+
+The plumbing is compiled into one slot table whenever it changes (at
+construction and on every ``attach_*``/``detach_*``/``clear_plumbing``):
+slot ``p`` holds its maintenance taps, Bloom taps, active lookup and the
+span name and labels of operator ``p``, and :meth:`Pipeline.process`
+walks that table.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.errors import PlanError
 from repro.operators.base import ExecContext
@@ -29,6 +37,20 @@ from repro.streams.events import Sign
 from repro.streams.tuples import CompositeTuple, Row
 
 ObservationSink = Callable[[str, float], None]
+
+
+class _Slot(NamedTuple):
+    """The plumbing :meth:`Pipeline.process` runs at one pipeline slot.
+
+    The slot's operator is read from ``Pipeline.operators`` itself, so
+    that list stays the one place an operator is installed.
+    """
+
+    taps: Tuple[CacheUpdate, ...]
+    blooms: Tuple[BloomLookup, ...]
+    lookup: Optional[CacheLookup]
+    span: str  # the operator's profiler span name
+    labels: Dict[str, str]  # the operator-histogram labels
 
 
 @dataclass
@@ -50,16 +72,34 @@ class Pipeline:
     def __init__(self, owner: str, operators: Sequence[JoinOperator]):
         self.owner = owner
         self.operators: List[JoinOperator] = list(operators)
-        # Span names precomputed per slot (reorders build a new Pipeline,
-        # so this stays correct for the pipeline's lifetime).
-        self._op_span_names: Tuple[str, ...] = tuple(
-            f"op:{owner}.{position}:{op.target}"
-            for position, op in enumerate(self.operators)
-        )
         self._lookups: Dict[int, CacheLookup] = {}
         self._updates: Dict[int, List[CacheUpdate]] = defaultdict(list)
         self._blooms: Dict[int, List[BloomLookup]] = defaultdict(list)
         self.observation_sink: Optional[ObservationSink] = None
+        self._slots: Tuple[_Slot, ...] = ()
+        self._compile()
+
+    def _compile(self) -> None:
+        """Rebuild the slot table from the current plumbing.
+
+        Reorders build a new Pipeline, so the operators (and the span
+        names derived from them) are fixed for the pipeline's lifetime.
+        """
+        nops = len(self.operators)
+        self._slots = tuple(
+            _Slot(
+                taps=tuple(self._updates.get(position, ())),
+                blooms=tuple(self._blooms.get(position, ())),
+                lookup=self._lookups.get(position),
+                span=(
+                    f"op:{self.owner}.{position}:"
+                    f"{self.operators[position].target}"
+                    if position < nops else ""
+                ),
+                labels={"pipeline": self.owner, "slot": str(position)},
+            )
+            for position in range(nops + 1)
+        )
 
     # ------------------------------------------------------------------
     # structure
@@ -102,12 +142,14 @@ class Pipeline:
                     f"{position}; this violates the prefix invariant"
                 )
         self._lookups[lookup.start] = lookup
+        self._compile()
 
     def detach_lookup(self, cache_name: str) -> bool:
         """Remove the lookup for ``cache_name``; True if found."""
         for start, lookup in list(self._lookups.items()):
             if lookup.cache.name == cache_name:
                 del self._lookups[start]
+                self._compile()
                 return True
         return False
 
@@ -126,6 +168,11 @@ class Pipeline:
                     f"of {lookup}; this violates the prefix invariant"
                 )
         self._updates[tap.position].append(tap)
+        self._compile()
+
+    def has_maintenance_taps(self) -> bool:
+        """True when any cache maintenance tap sits in this pipeline."""
+        return bool(self._updates)
 
     def detach_updates(self, cache_name: str) -> int:
         """Remove every tap of ``cache_name``; returns the count."""
@@ -138,6 +185,8 @@ class Pipeline:
                 self._updates[position] = keep
             else:
                 del self._updates[position]
+        if removed:
+            self._compile()
         return removed
 
     def attach_bloom(self, bloom: BloomLookup) -> None:
@@ -145,6 +194,7 @@ class Pipeline:
         if bloom.position >= len(self.operators):
             raise PlanError("bloom tap must precede a join operator")
         self._blooms[bloom.position].append(bloom)
+        self._compile()
 
     def detach_bloom(self, candidate_id: str) -> int:
         """Remove a candidate's profile-mode lookups; returns the count."""
@@ -157,6 +207,8 @@ class Pipeline:
                 self._blooms[position] = keep
             else:
                 del self._blooms[position]
+        if removed:
+            self._compile()
         return removed
 
     def clear_plumbing(self) -> None:
@@ -164,6 +216,7 @@ class Pipeline:
         self._lookups.clear()
         self._updates.clear()
         self._blooms.clear()
+        self._compile()
 
     # ------------------------------------------------------------------
     # execution
@@ -183,14 +236,28 @@ class Pipeline:
         Maintenance taps always run — they keep *other* pipelines' caches
         consistent and are not "using" a cache.
         """
-        nops = len(self.operators)
+        slots = self._slots
+        operators = self.operators
+        nops = len(slots) - 1
         sample = ProfileSample() if profile else None
-        detail = ctx.obs.enabled
-        prof = ctx.obs.profiler
+        obs = ctx.obs
+        detail = obs.enabled
+        prof = obs.profiler
+        clock = ctx.clock
+        timed = profile or detail or prof.enabled
         composites: List[CompositeTuple] = [CompositeTuple.of(self.owner, row)]
         position = 0
-        while position <= nops:
-            self._run_taps(position, composites, sign, ctx)
+        while True:
+            taps, blooms, lookup, span, labels = slots[position]
+            if composites:
+                for tap in taps:
+                    tap.apply(composites, sign, ctx)
+                for bloom in blooms:
+                    for observation in bloom.apply(composites, ctx, sign):
+                        if self.observation_sink is not None:
+                            self.observation_sink(
+                                bloom.candidate_id, observation
+                            )
             if profile:
                 sample.deltas.append(len(composites))
             if position == nops or not composites:
@@ -201,53 +268,37 @@ class Pipeline:
                     while len(sample.taus) < nops:
                         sample.taus.append(0.0)
                 break
-            lookup = None if profile else self._lookups.get(position)
-            if lookup is not None:
+            if lookup is not None and not profile:
                 composites = self._through_cache(
                     lookup, composites, sign, ctx
                 )
                 position = lookup.end + 1
-            else:
-                started = ctx.clock.now_us
-                if profile:
-                    ctx.clock.charge(ctx.cost_model.profile_tuple)
-                if prof.enabled:
-                    prof.begin(self._op_span_names[position], started)
-                try:
-                    composites = self.operators[position].apply(
-                        composites, ctx
-                    )
-                finally:
-                    # Close the span on the exception path too, or a
-                    # failing operator leaves the profiler stack open.
-                    if prof.enabled:
-                        prof.end(ctx.clock.now_us)
-                elapsed = ctx.clock.now_us - started
-                if profile:
-                    sample.taus.append(elapsed)
-                if detail:
-                    ctx.obs.registry.histogram(
-                        "repro_operator_us",
-                        {"pipeline": self.owner, "slot": str(position)},
-                    ).observe(elapsed)
+                continue
+            if not timed:
+                composites = operators[position].apply(composites, ctx)
                 position += 1
+                continue
+            started = clock.now_us
+            if profile:
+                clock.charge(ctx.cost_model.profile_tuple)
+            if prof.enabled:
+                prof.begin(span, started)
+            try:
+                composites = operators[position].apply(composites, ctx)
+            finally:
+                # Close the span on the exception path too, or a failing
+                # operator leaves the profiler stack open.
+                if prof.enabled:
+                    prof.end(clock.now_us)
+            elapsed = clock.now_us - started
+            if profile:
+                sample.taus.append(elapsed)
+            if detail:
+                obs.registry.histogram(
+                    "repro_operator_us", labels
+                ).observe(elapsed)
+            position += 1
         return composites, sample
-
-    def _run_taps(
-        self,
-        position: int,
-        composites: List[CompositeTuple],
-        sign: Sign,
-        ctx: ExecContext,
-    ) -> None:
-        if not composites:
-            return
-        for tap in self._updates.get(position, ()):
-            tap.apply(composites, sign, ctx)
-        for bloom in self._blooms.get(position, ()):
-            for observation in bloom.apply(composites, ctx, sign):
-                if self.observation_sink is not None:
-                    self.observation_sink(bloom.candidate_id, observation)
 
     def _through_cache(
         self,
@@ -333,14 +384,16 @@ class Pipeline:
                 misses=len(composites) - hit_count,
                 sign=sign.name,
             )
-        if prof.enabled and miss_groups:
+        if not miss_groups:
+            return results
+        if prof.enabled:
             prof.begin("cache_store:" + cache.name, clock.now_us)
         try:
             self._fill_misses(
                 lookup, miss_groups, consumed_keys, results, ctx
             )
         finally:
-            if prof.enabled and miss_groups:
+            if prof.enabled:
                 prof.end(clock.now_us)
         return results
 

@@ -229,7 +229,7 @@ class AGreedyOrderer:
             )
             required = self.config.hysteresis
             pipeline = self.executor.pipelines[owner]
-            if pipeline.active_lookups() or pipeline._updates:
+            if pipeline.active_lookups() or pipeline.has_maintenance_taps():
                 # Plan-switching costs (Section 1): reordering this
                 # pipeline drops wired caches and restarts their
                 # profiling, so demand a larger estimated win.

@@ -24,6 +24,9 @@ class Relation:
         self.schema = schema
         self._rows: Dict[int, Row] = {}
         self._indexes: Dict[str, HashIndex] = {}
+        # Bumped whenever the index set changes, so compiled join
+        # operators re-pick their index probe only then.
+        self.index_version = 0
         for attribute in indexed_attributes:
             self.add_index(attribute)
 
@@ -39,15 +42,22 @@ class Relation:
         for row in self._rows.values():
             index.add(row)
         self._indexes[attribute] = index
+        self.index_version += 1
         return index
 
     def drop_index(self, attribute: str) -> None:
         """Remove the index on ``attribute`` (forcing scans), if present."""
-        self._indexes.pop(attribute, None)
+        if self._indexes.pop(attribute, None) is not None:
+            self.index_version += 1
 
     def has_index(self, attribute: str) -> bool:
         """True if ``attribute`` has a hash index."""
         return attribute in self._indexes
+
+    @property
+    def index_count(self) -> int:
+        """Number of hash indexes an insert or delete must maintain."""
+        return len(self._indexes)
 
     def index(self, attribute: str) -> HashIndex:
         """The hash index on ``attribute`` (SchemaError if absent)."""

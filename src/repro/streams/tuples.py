@@ -13,7 +13,7 @@ evict composites containing a deleted row in O(1) per composite.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, List, Mapping
 
 from repro.errors import SchemaError
 
@@ -99,6 +99,11 @@ class Row:
         return f"Row#{self.rid}{self.values}"
 
 
+# Builds a composite around a dict it already owns, skipping the defensive
+# copy in ``__init__`` (the join hot path extends millions of composites).
+_new_composite = object.__new__
+
+
 class CompositeTuple:
     """A joined tuple: a mapping from relation name to one :class:`Row`.
 
@@ -120,9 +125,26 @@ class CompositeTuple:
 
     def extended(self, relation: str, row: Row) -> "CompositeTuple":
         """Return a new composite that also binds ``relation`` to ``row``."""
-        rows = dict(self._rows)
+        rows = self._rows.copy()
         rows[relation] = row
-        return CompositeTuple(rows)
+        composite = _new_composite(CompositeTuple)
+        composite._rows = rows
+        return composite
+
+    def extensions(
+        self, relation: str, rows: Iterable[Row]
+    ) -> List["CompositeTuple"]:
+        """``[self.extended(relation, row) for row in rows]``, in one call
+        (a join operator's output for one input composite)."""
+        base = self._rows
+        out = []
+        for row in rows:
+            bound = base.copy()
+            bound[relation] = row
+            composite = _new_composite(CompositeTuple)
+            composite._rows = bound
+            out.append(composite)
+        return out
 
     def row(self, relation: str) -> Row:
         """Return the row bound for ``relation`` (KeyError if unbound)."""
@@ -142,9 +164,11 @@ class CompositeTuple:
 
     def merge(self, other: "CompositeTuple") -> "CompositeTuple":
         """Concatenate two composites over disjoint relation sets."""
-        rows = dict(self._rows)
+        rows = self._rows.copy()
         rows.update(other._rows)
-        return CompositeTuple(rows)
+        composite = _new_composite(CompositeTuple)
+        composite._rows = rows
+        return composite
 
     def identity(self, order: Iterable[str]) -> tuple:
         """A hashable identity: the rids of the bound rows, in ``order``."""

@@ -301,13 +301,8 @@ class XJoinExecutor:
     def _apply_window_update(self, update: Update) -> None:
         relation = self.relations[update.relation]
         cm = self.ctx.cost_model
-        index_count = sum(
-            1
-            for attr in relation.schema.attributes
-            if relation.has_index(attr)
-        )
         self.ctx.clock.charge(
-            cm.relation_update + cm.index_update * index_count
+            cm.relation_update + cm.index_update * relation.index_count
         )
         if update.sign is Sign.INSERT:
             relation.insert(update.row)

@@ -58,3 +58,26 @@ def test_distinct_seeds_differ():
     a = [u.row.values for u in table2_workload("D5", seed=1).updates(300)]
     b = [u.row.values for u in table2_workload("D5", seed=2).updates(300)]
     assert a != b
+
+
+def test_fig9_star_virtual_clock_is_pinned():
+    """The Fig. 9 6-way star (window 48, 6k arrivals) through
+    ``Session.process`` charges exactly the recorded virtual time.
+
+    Compared with ``==``: a change that only moves wall time (compiling
+    the plan, skipping implied residual comparisons) must not reorder a
+    single floating-point charge, or cache decisions drift with it.
+    """
+    from repro.api import Session
+    from repro.parallel.bench import bench_engine_config
+    from repro.streams.workloads import fig9_workload
+
+    workload = fig9_workload(6, window=48)
+    session = Session.adaptive(workload, bench_engine_config())
+    for update in workload.updates(6000):
+        session.process(update)
+    assert session.ctx.clock.now_us == 529549.3000002342
+    assert session.ctx.metrics.outputs_emitted == 77375
+    assert session.used_caches() == (
+        "R4:0-2p", "R3:0-1p", "R6:0-4p", "R5:0-3p"
+    )

@@ -85,6 +85,8 @@ def test_bench_wall_writes_a_gateable_baseline(tmp_path, capsys):
     assert "profiler overhead" in capsys.readouterr().out
     payload = json.loads(out_path.read_text())
     assert payload["benchmark"] == "wall"
+    assert payload["schema_version"] == 2
+    assert set(payload["machine"]) == {"nproc", "python", "platform"}
     assert {p["mode"] for p in payload["points"]} == {
         "serial", "batched", "sharded",
     }
@@ -137,3 +139,29 @@ def test_gate_downgrades_wall_drift_with_warn_only(tmp_path):
     lenient = run_gate(str(fresh), "--baseline", str(baseline), "--warn-only")
     assert lenient.returncode == 0
     assert "warning" in lenient.stdout
+
+
+def test_gate_prints_both_machine_blocks_when_it_warns(tmp_path):
+    baseline = tmp_path / "baseline.json"
+    fresh = tmp_path / "fresh.json"
+    baseline.write_text(json.dumps(wall_payload()))  # v1: no machine
+    drifted = dict(
+        wall_payload(serial_wall=3.0),
+        schema_version=2,
+        machine={"nproc": 2, "python": "3.11.7", "platform": "Linux-x"},
+    )
+    fresh.write_text(json.dumps(drifted))
+    result = run_gate(str(fresh), "--baseline", str(baseline), "--warn-only")
+    assert result.returncode == 0
+    assert '"nproc": 2' in result.stdout
+    assert "unrecorded" in result.stdout
+    quiet = run_gate(str(fresh), "--baseline", str(fresh), "--warn-only")
+    assert "machine" not in quiet.stdout
+
+
+def test_gate_rejects_an_unknown_schema_version(tmp_path):
+    fresh = tmp_path / "fresh.json"
+    fresh.write_text(json.dumps(dict(wall_payload(), schema_version=3)))
+    result = run_gate(str(fresh), "--baseline", str(fresh))
+    assert result.returncode != 0
+    assert "schema_version 3" in result.stderr

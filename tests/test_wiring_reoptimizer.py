@@ -50,11 +50,11 @@ class TestWiring:
         assert wired.lookup_attached
         assert executor.pipelines["T"].active_lookups()
         # Maintenance taps in both member pipelines.
-        assert executor.pipelines["R"]._updates
-        assert executor.pipelines["S"]._updates
+        assert executor.pipelines["R"].has_maintenance_taps()
+        assert executor.pipelines["S"].has_maintenance_taps()
         wiring.detach("T:0-1p")
         assert not executor.pipelines["T"].active_lookups()
-        assert not executor.pipelines["R"]._updates
+        assert not executor.pipelines["R"].has_maintenance_taps()
 
     def test_global_candidate_gets_global_cache(self):
         workload, executor, candidates = chain_setup()
@@ -71,9 +71,10 @@ class TestWiring:
         candidate = candidates["R:0-1g"]
         assert "R" in candidate.anchor
         wiring.attach(candidate)
-        assert not executor.pipelines["R"]._updates  # no self-tap
-        assert executor.pipelines["S"]._updates
-        assert executor.pipelines["T"]._updates
+        # No self-tap.
+        assert not executor.pipelines["R"].has_maintenance_taps()
+        assert executor.pipelines["S"].has_maintenance_taps()
+        assert executor.pipelines["T"].has_maintenance_taps()
 
     def test_suspend_and_resume(self):
         workload, executor, candidates = chain_setup()
@@ -81,7 +82,8 @@ class TestWiring:
         wiring.attach(candidates["T:0-1p"])
         wiring.suspend_lookup("T:0-1p")
         assert not executor.pipelines["T"].active_lookups()
-        assert executor.pipelines["R"]._updates  # taps stay warm
+        # Taps stay warm.
+        assert executor.pipelines["R"].has_maintenance_taps()
         wiring.resume_lookup("T:0-1p")
         assert executor.pipelines["T"].active_lookups()
 
